@@ -25,8 +25,7 @@ object MiddlewareBaseline {
                           transferredBytes: Long, transferSeconds: Double)
 
   def topK(df: DataFrame, spec: CompareSpec, k: TopK,
-           bandwidthMBps: Double = 50.0,
-           cfg: PrunedTopK.Config = PrunedTopK.Config()): Result = {
+           bandwidthMBps: Double = 50.0): Result = {
     // One aggregate query per (g, m) per side — issued separately, like a
     // visualization tool fetching each chart's data.
     def fetchSide(ts: TrendsetSpec, side: Int, gmIdxs: Seq[Int]): (Seq[TrendRow], Long) = {
@@ -38,18 +37,10 @@ object MiddlewareBaseline {
         val payload = csv.getBytes(StandardCharsets.UTF_8)
         bytes += payload.length
         // Client-side deserialization: parse the CSV back into trends.
-        val header = rel.columns
-        val gIdx = header.indexOf(s"__g$side"); val vIdx = header.indexOf(s"__v$side")
-        val cIdxs = ts.attrs.map(a => header.indexOf(s"${a}_$side"))
         val parsed = new String(payload, StandardCharsets.UTF_8)
           .split("\n").filter(_.nonEmpty)
-          .map(_.split(",", -1))
-        parsed
-          .filter(f => f(gIdx) != "null" && f(vIdx) != "null")
-          .groupBy(f => cIdxs.map(f(_)).toList)
-          .map { case (c, fs) =>
-            TrendRow(i, c, fs.map(f => f(gIdx) -> f(vIdx).toDouble).toMap)
-          }
+          .map(_.split(",", -1).toSeq.map(f => if (f == "null") null else f))
+        Relations.assembleTrends(ts, i, side, rel.columns.toSeq, parsed)
       }
       (rows, bytes)
     }
@@ -63,7 +54,7 @@ object MiddlewareBaseline {
     // Pace the simulated link (capped so accidental large payloads cannot
     // stall a bench run indefinitely).
     Thread.sleep(math.min(transferSeconds * 1000, 120000L).toLong)
-    val res = PrunedTopK.run(spec, t1, t2, k, cfg)
+    val res = PrunedTopK.run(spec, t1, t2, k)
     Result(res.pairs, res.stats, totalBytes, transferSeconds)
   }
 }

@@ -47,10 +47,10 @@ object BenchHarness {
     * the trendset-granularity join. Clears the spooled sub-plans afterwards
     * so cached storage does not leak across timed stages.
     */
-  def runMergedOnly(df: DataFrame, q: Query, stats: Option[Stats] = None): Double =
+  def runMergedOnly(df: DataFrame, q: Query, stats: Stats): Double =
     try best2 {
-      topKCollect(Compare.all(df, q.spec, Compare.ExecStrategy.MergedOnly, stats), q.topK)
-    } finally TrendwiseExec.clearSpools()
+      topKCollect(BasicExec.run(df, q.spec, Some(stats)), q.topK)
+    } finally BasicExec.clearSpools()
 
   /** Sharing + trendwise partitioned comparison, exhaustive scoring
     * (ablation stage 3): one shared scan builds the trends, then pairs are

@@ -118,7 +118,7 @@ object Experiments {
     CompareSession.install(spark)
     // Optimizer statistics computed once, like an engine's catalog stats —
     // Algorithm 1 consumes them, their collection is not part of the query.
-    val stats = Some(Stats.collect(df, "airport" +: FlightData.AllGroupings))
+    val stats = Stats.collect(df, "airport" +: FlightData.AllGroupings)
     runTrendwise(df, Workloads.flightQ1) // warm
     val rows = Workloads.flightQueries.map { q =>
       AblationRow(q.id,
@@ -222,7 +222,7 @@ object Experiments {
   def segmentSweep(spark: SparkSession): Seq[SegRow] = {
     val df = materialize(flightData(spark))
     val q = Workloads.flightQ2
-    val (t1, t2) = TrendwiseExec.collectTrends(df, q.spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(df, q.spec)
     val sturgesL = TrendModel.sturges(FlightDays)
     val rows = (Seq(1, 2, 4, sturgesL, 16, 32, 64).distinct.sorted).map { l =>
       val cfg = PrunedTopK.Config(numSegments = Some(l))

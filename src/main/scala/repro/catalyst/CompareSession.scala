@@ -1,7 +1,7 @@
 package repro.catalyst
 
-import org.apache.spark.sql.{DataFrame, ReproBridge, SparkSession, SparkSessionExtensions}
-import repro.core.{CompareSpec, PrunedTopK, TopK}
+import org.apache.spark.sql.{Column, DataFrame, ReproBridge, SparkSession, SparkSessionExtensions}
+import repro.core.{CompareSpec, TopK}
 
 /** Installs the COMPARE extensions on a session.
   *
@@ -35,7 +35,7 @@ object CompareSession {
       spark.experimental.extraOptimizations.filterNot(_ == ReduceToCompare)
   }
 
-  private def baseRules = Seq(PushCompareBelowJoin, PushFilterBelowCompare, DedupBelowCompare)
+  private[catalyst] def baseRules = Seq(PushCompareBelowJoin, PushFilterBelowCompare, DedupBelowCompare)
 
   /** Build a DataFrame whose plan is Φ over `df` — the logical-operator
     * entry point (planned by [[CompareStrategy]] into [[CompareTopKExec]]).
@@ -45,6 +45,18 @@ object CompareSession {
     install(spark)
     ReproBridge.ofRows(spark, CompareNode(spec, topK, ReproBridge.analyzedPlan(df)))
   }
+
+  /** §3.2 composition: select the base-table tuples belonging to either trend
+    * of each top-k pair, annotated with the pair's identity and score.
+    */
+  def topKJoin(df: DataFrame, spec: CompareSpec, k: TopK): DataFrame = {
+    val top = compare(df, spec, Some(k))
+    val matchSide1: Column = spec.t1.attrs
+      .map(a => df(a).cast("string") === top(s"${a}_1")).reduce(_ && _)
+    val matchSide2: Column = spec.t2.attrs
+      .map(a => df(a).cast("string") === top(s"${a}_2")).reduce(_ && _)
+    df.join(top, matchSide1 || matchSide2)
+  }
 }
 
 /** `SparkSessionExtensions` builder: strategy, rules (R1–R3), and the
@@ -52,10 +64,8 @@ object CompareSession {
   */
 class CompareExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(ext: SparkSessionExtensions): Unit = {
-    ext.injectPlannerStrategy(_ => new CompareStrategy(PrunedTopK.Config()))
-    ext.injectOptimizerRule(_ => PushCompareBelowJoin)
-    ext.injectOptimizerRule(_ => PushFilterBelowCompare)
-    ext.injectOptimizerRule(_ => DedupBelowCompare)
+    ext.injectPlannerStrategy(_ => new CompareStrategy)
+    CompareSession.baseRules.foreach(rule => ext.injectOptimizerRule(_ => rule))
     ext.injectParser((_, delegate) => new CompareSqlParser(delegate))
   }
 }

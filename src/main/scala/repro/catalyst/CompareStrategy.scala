@@ -2,15 +2,14 @@ package repro.catalyst
 
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
-import repro.core.PrunedTopK
 
 /** Plans the COMPARE logical operator into [[CompareTopKExec]] (§4's
   * "replace COMPARE with a sub-plan of physical operators").
   */
-class CompareStrategy(cfg: PrunedTopK.Config = PrunedTopK.Config()) extends SparkStrategy {
+class CompareStrategy extends SparkStrategy {
   override def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
     case n: CompareNode =>
-      CompareTopKExec(n.spec, n.topK, cfg, n.output, planLater(n.child)) :: Nil
+      CompareTopKExec(n.spec, n.topK, n.output, planLater(n.child)) :: Nil
     case _ => Nil
   }
 }

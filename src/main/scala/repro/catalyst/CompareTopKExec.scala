@@ -63,7 +63,6 @@ private[catalyst] case class SideRef(side: Int, fixed: Seq[(ColRef, String)],
 case class CompareTopKExec(
     spec: CompareSpec,
     topK: Option[TopK],
-    cfg: PrunedTopK.Config,
     override val output: Seq[Attribute],
     child: SparkPlan)
   extends UnaryExecNode {
@@ -78,18 +77,18 @@ case class CompareTopKExec(
     val (t1Rows, t2Rows) = TrendAggregation.trends(child.execute(), child.output, spec)
 
     val result = topK match {
-      case Some(k) => PrunedTopK.run(spec, t1Rows, t2Rows, k, cfg)
+      case Some(k) => PrunedTopK.run(spec, t1Rows, t2Rows, k)
       case None =>
         PrunedTopK.run(spec, t1Rows, t2Rows, TopK(Int.MaxValue, ascending = true),
-          cfg.copy(usePruning = false))
+          PrunedTopK.Config(usePruning = false))
     }
     CompareTopKExec.lastStats = Some(result.stats)
 
     val outRows = result.pairs.map { p =>
-      val gm1 = spec.t1.gms(p.gm1); val gm2 = spec.t2.gms(p.gm2)
-      val strs = (p.c1 ++ p.c2 ++ Seq(gm1.grouping, gm1.measureLabel, gm2.measureLabel))
-        .map(s => if (s == null) null else UTF8String.fromString(s))
-      InternalRow.fromSeq(strs :+ p.score)
+      InternalRow.fromSeq(CompareOutput.values(spec, p).map {
+        case s: String => UTF8String.fromString(s)
+        case v         => v
+      })
     }
     val types = output.map(_.dataType).toArray
     sparkContext.parallelize(outRows, 1).mapPartitions { it =>

@@ -29,12 +29,15 @@ object CompareOutput {
       columns(spec).dropRight(1).map(StructField(_, StringType, nullable = true)) :+
         StructField("score", DoubleType, nullable = false))
 
+  /** A scored pair's values in the order of [[columns]]. */
+  def values(spec: CompareSpec, p: ScoredPair): Seq[Any] = {
+    val gm1 = spec.t1.gms(p.gm1); val gm2 = spec.t2.gms(p.gm2)
+    p.c1 ++ p.c2 ++ Seq(gm1.grouping, gm1.measureLabel, gm2.measureLabel, p.score)
+  }
+
   /** Materialize scored pairs as a DataFrame in the core output schema. */
   def toDf(spark: SparkSession, spec: CompareSpec, pairs: Seq[ScoredPair]): DataFrame = {
-    val rows = pairs.map { p =>
-      val gm1 = spec.t1.gms(p.gm1); val gm2 = spec.t2.gms(p.gm2)
-      Row.fromSeq(p.c1 ++ p.c2 ++ Seq(gm1.grouping, gm1.measureLabel, gm2.measureLabel, p.score))
-    }
+    val rows = pairs.map(p => Row.fromSeq(values(spec, p)))
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema(spec))
   }
 

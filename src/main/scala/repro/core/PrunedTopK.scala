@@ -136,9 +136,6 @@ object PrunedTopK {
       def guarantee: Double  = if (topK.ascending) -upperScore else lowerScore
       def exactScoreNow: Double = { assert(done); toScore(exactSum) }
       def processOneSegment(): Unit = {
-        // Skip zero-match segments outright — they contribute nothing.
-        while (!done && bounds(nextSeg).matched == 0) nextSeg += 1
-        if (done) return
         val (sum, _, touched) = exactSegment(t1, t2, nextSeg, p)
         tuplesCompared += touched
         segmentsProcessed += 1
@@ -146,7 +143,19 @@ object PrunedTopK {
         remLower -= bounds(nextSeg).lower
         remUpper -= bounds(nextSeg).upper
         nextSeg += 1
+        skipEmptySegments()
       }
+      /** Skip zero-match segments outright — they contribute nothing. Once
+        * done, both bounds are the exact score: the rounding residues left in
+        * `remLower`/`remUpper` could otherwise put the optimistic bound below
+        * the pair's own guarantee, and a threshold set by that guarantee
+        * would prune a true top-k pair.
+        */
+      private def skipEmptySegments(): Unit = {
+        while (!done && bounds(nextSeg).matched == 0) nextSeg += 1
+        if (done) { remLower = 0.0; remUpper = 0.0 }
+      }
+      skipEmptySegments()
     }
 
     val pairs = candidates.map { case (t1, t2) => new PairState(t1, t2) }

@@ -43,6 +43,19 @@ object Relations {
     ts.fixedTerms.foldLeft(grouped) { case (d, (a, v)) => d.withColumn(s"${a}_$side", lit(v)) }
   }
 
+  /** Trends of one (g, m) assembled from the rows of its [[trendRel]]: each
+    * row's fields as strings (null for SQL NULL) in `header` order.
+    */
+  def assembleTrends(ts: TrendsetSpec, gm: Int, side: Int, header: Seq[String],
+                     rows: Iterable[Seq[String]]): Seq[TrendRow] = {
+    val gIdx = header.indexOf(s"__g$side"); val vIdx = header.indexOf(s"__v$side")
+    val cIdxs = ts.attrs.map(a => header.indexOf(s"${a}_$side"))
+    rows.filter(f => f(gIdx) != null && f(vIdx) != null)
+      .groupBy(f => cIdxs.map(f(_)))
+      .map { case (c, fs) => TrendRow(gm, c, fs.map(f => f(gIdx) -> f(vIdx).toDouble).toMap) }
+      .toSeq
+  }
+
   /** Join condition restricting which trend pairs are compared, per pair mode
     * (the basic plan's `R_i.c != R_j.c`, canonicalized for symmetric sides).
     */

@@ -13,13 +13,6 @@ import java.util.BitSet
   */
 object TrendModel {
 
-  /** |d|^p with fast paths for the ubiquitous p ∈ {1, 2}. */
-  @inline private def powP(d: Double, p: Int): Double = p match {
-    case 1 => math.abs(d)
-    case 2 => d * d
-    case _ => math.pow(math.abs(d), p)
-  }
-
   /** Sturges' formula for the number of segments (§5.1): ⌊1 + log2(n)⌋. */
   def sturges(n: Int): Int = math.max(1, 1 + (math.log(math.max(n, 1)) / math.log(2)).floor.toInt)
 
@@ -125,13 +118,13 @@ object TrendModel {
       }
     if (matched == 0) return SegBound(0.0, 0.0, 0)
     val maxDiff = math.max(math.abs(a.max - b.min), math.abs(b.max - a.min))
-    val upper = matched * powP(maxDiff, p)
+    val upper = matched * Scorer.absPow(maxDiff, p)
     // Theorem 1 lower bound is valid only when the averaged tuples are exactly
     // the matched tuples (both segments fully matched); otherwise fall back to
     // the always-sound 0.
     val lower =
       if (matched == a.count && matched == b.count)
-        matched * powP(a.avg - b.avg, p)
+        matched * Scorer.absPow(a.avg - b.avg, p)
       else 0.0
     SegBound(lower, upper, matched)
   }
@@ -148,7 +141,7 @@ object TrendModel {
       touched += 1
       val ci = t1.codes(i); val cj = t2.codes(j)
       if (ci == cj) {
-        sum += powP(t1.values(i) - t2.values(j), p)
+        sum += Scorer.absPow(t1.values(i) - t2.values(j), p)
         matched += 1; i += 1; j += 1
       } else if (ci < cj) i += 1
       else j += 1

@@ -53,6 +53,12 @@ object TestUtil {
       p.c1.mkString("|"), p.c2.mkString("|"), p.gm1, p.gm2))
 
   /** Multiset of rounded scores — tie-tolerant way to compare top-k outputs. */
-  def scoreBag(pairs: Seq[ScoredPair]): Seq[Double] =
-    pairs.map(p => math.rint(p.score * 1e4) / 1e4).sorted
+  def scoreBag(pairs: Seq[ScoredPair]): Seq[Double] = roundedSorted(pairs.map(_.score))
+
+  /** [[scoreBag]] of a COMPARE result DataFrame. */
+  def scoreBag(df: DataFrame): Seq[Double] =
+    roundedSorted(df.collect().toSeq.map(_.getAs[Double]("score")))
+
+  private def roundedSorted(scores: Seq[Double]): Seq[Double] =
+    scores.map(s => math.rint(s * 1e4) / 1e4).sorted
 }

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.catalyst.CompareSession
 import repro.core._
 import repro.workload.Workloads
 import repro.{SparkSpec, TestData, TestUtil}
@@ -20,9 +21,7 @@ class BaselinesSpec extends SparkSpec {
   for ((name, spec) <- shapes; asc <- Seq(true, false)) {
     val k = TopK(3, asc)
     test(s"UDF baseline top-k == COMPARE top-k: $name ${if (asc) "ASC" else "DESC"}") {
-      val (cmp, _) = Compare.topK(sales, spec, k)
-      val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
-        .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
+      val cmpScores = TestUtil.scoreBag(CompareSession.compare(sales, spec, Some(k)))
       val udf = UdfBaseline.topK(sales, spec, k)
       assert(TestUtil.scoreBag(udf.pairs) == cmpScores, name)
     }
@@ -31,9 +30,7 @@ class BaselinesSpec extends SparkSpec {
   for ((name, spec) <- shapes) {
     val k = TopK(3, ascending = true)
     test(s"MIDDLEWARE baseline top-k == COMPARE top-k: $name") {
-      val (cmp, _) = Compare.topK(sales, spec, k)
-      val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
-        .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
+      val cmpScores = TestUtil.scoreBag(CompareSession.compare(sales, spec, Some(k)))
       // Large bandwidth → negligible simulated transfer delay in tests.
       val mw = MiddlewareBaseline.topK(sales, spec, k, bandwidthMBps = 1e6)
       assert(TestUtil.scoreBag(mw.pairs) == cmpScores, name)
@@ -63,9 +60,7 @@ class BaselinesSpec extends SparkSpec {
   test("baselines agree with COMPARE on a Table-4 workload at toy scale") {
     val flight = repro.flight.FlightData.flights(spark, nAirports = 12, nDays = 40, rowsPerCell = 2).cache()
     val q = Workloads.flightQ2
-    val (cmp, _) = Compare.topK(flight, q.spec, q.topK)
-    val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
-      .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
+    val cmpScores = TestUtil.scoreBag(CompareSession.compare(flight, q.spec, Some(q.topK)))
     val udf = UdfBaseline.topK(flight, q.spec, q.topK)
     val mw = MiddlewareBaseline.topK(flight, q.spec, q.topK, bandwidthMBps = 1e6)
     assert(TestUtil.scoreBag(udf.pairs) == cmpScores)

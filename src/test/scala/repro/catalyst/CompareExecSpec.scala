@@ -39,11 +39,15 @@ class CompareExecSpec extends SparkSpec {
   for ((name, spec) <- Specs.gridSmall; asc <- Seq(true, false)) {
     test(s"fused top-k (${if (asc) "ASC" else "DESC"}) matches driver-side Φp: $name") {
       val k = TopK(3, asc)
-      val viaExec = CompareSession.compare(sales, spec, Some(k))
-        .collect().map(_.getAs[Double]("score")).map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
-      val (viaApi, _) = Compare.topK(sales, spec, k)
-      val expect = viaApi.collect().map(_.getAs[Double]("score")).map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
+      val viaExec = TestUtil.scoreBag(CompareSession.compare(sales, spec, Some(k)))
+      val (t1, t2) = TrendCollector.collect(sales, spec)
+      val viaDriver = TestUtil.scoreBag(PrunedTopK.run(spec, t1, t2, k).pairs)
+      // Reference independent of Φp: the basic plan ordered by score.
+      val basic = BasicExec.run(sales, spec)
+      val expect = TestUtil.scoreBag(basic.orderBy(if (asc) basic("score").asc else basic("score").desc)
+        .limit(k.k))
       assert(viaExec == expect, name)
+      assert(viaDriver == expect, name)
     }
   }
 

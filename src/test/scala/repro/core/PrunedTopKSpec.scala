@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.catalyst.TrendCollector
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** Correctness of the Φp pruning operator (§5): top-k selection must agree
@@ -15,14 +16,14 @@ class PrunedTopKSpec extends SparkSpec {
     * trends (pruning off), then sort/take k.
     */
   private def bruteForce(spec: CompareSpec, k: TopK): Seq[ScoredPair] = {
-    val (t1, t2) = TrendwiseExec.collectTrends(sales, spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(sales, spec)
     PrunedTopK.run(spec, t1, t2, k,
       PrunedTopK.Config(usePruning = false)).pairs
   }
 
   private def pruned(spec: CompareSpec, k: TopK,
                      cfg: PrunedTopK.Config = PrunedTopK.Config()): PrunedTopK.Result = {
-    val (t1, t2) = TrendwiseExec.collectTrends(sales, spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(sales, spec)
     PrunedTopK.run(spec, t1, t2, k, cfg)
   }
 
@@ -119,10 +120,22 @@ class PrunedTopKSpec extends SparkSpec {
           .map(w => w.toString -> (rnd.nextDouble() * 40 + i)).toMap
         TrendRow(0, Seq(s"T$i"), data)
       }.filter(_.data.nonEmpty)
-      val topK = TopK(3, ascending = trial % 2 == 0)
-      val exact = PrunedTopK.run(spec, t, t, topK, PrunedTopK.Config(usePruning = false))
-      val fast = PrunedTopK.run(spec, t, t, topK, PrunedTopK.Config())
-      assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(exact.pairs), s"trial $trial")
+      check(spec, t, TopK(3, ascending = trial % 2 == 0), s"sparse trial $trial")
     }
+    // Many dense trends with close scores: a finished pair's bounds must be
+    // its exact score, or rounding residues prune true top-k pairs.
+    for (trial <- 1 to 20) {
+      val t = (0 until 120).map { i =>
+        TrendRow(0, Seq(f"T$i%03d"), (1 to 23).map(w => w.toString -> rnd.nextDouble() * 40).toMap)
+      }
+      check(spec, t, TopK(5, ascending = true), s"dense trial $trial")
+    }
+  }
+
+  private def check(spec: CompareSpec, t: Seq[TrendRow], topK: TopK, hint: String): Unit = {
+    val exact = PrunedTopK.run(spec, t, t, topK, PrunedTopK.Config(usePruning = false))
+    val fast = PrunedTopK.run(spec, t, t, topK, PrunedTopK.Config())
+    assert(fast.pairs.size == math.min(topK.k, t.size * (t.size - 1) / 2), hint)
+    assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(exact.pairs), hint)
   }
 }

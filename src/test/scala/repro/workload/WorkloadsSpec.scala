@@ -1,5 +1,6 @@
 package repro.workload
 
+import repro.catalyst.{CompareSession, TrendCollector}
 import repro.core._
 import repro.flight.FlightData
 import repro.tpcds.WebSalesData
@@ -48,11 +49,11 @@ class WorkloadsSpec extends SparkSpec {
     }
     test(s"${q.id} trendwise == basic") {
       TestUtil.assertSameResult(
-        Compare.all(flight, q.spec, Compare.ExecStrategy.Full),
-        Compare.all(flight, q.spec, Compare.ExecStrategy.Basic), q.id)
+        CompareSession.compare(flight, q.spec, None),
+        BasicExec.run(flight, q.spec), q.id)
     }
     test(s"${q.id} pruned top-k == exhaustive top-k") {
-      val (t1, t2) = TrendwiseExec.collectTrends(flight, q.spec, merge = false)
+      val (t1, t2) = TrendCollector.collect(flight, q.spec)
       val fast = PrunedTopK.run(q.spec, t1, t2, q.topK)
       val slow = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
       assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(slow.pairs))
@@ -62,14 +63,14 @@ class WorkloadsSpec extends SparkSpec {
   for (q <- Seq(Workloads.tpcdsQ1, Workloads.tpcdsQ2, Workloads.tpcdsQ3)) {
     test(s"${q.id} trendwise == basic on websales") {
       TestUtil.assertSameResult(
-        Compare.all(websales, q.spec, Compare.ExecStrategy.Full),
-        Compare.all(websales, q.spec, Compare.ExecStrategy.Basic), q.id)
+        CompareSession.compare(websales, q.spec, None),
+        BasicExec.run(websales, q.spec), q.id)
     }
   }
 
   test("TPCDS Q4 pruned top-k == exhaustive") {
     val q = Workloads.tpcdsQ4
-    val (t1, t2) = TrendwiseExec.collectTrends(websales, q.spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(websales, q.spec)
     val fast = PrunedTopK.run(q.spec, t1, t2, q.topK)
     val slow = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
     assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(slow.pairs))
